@@ -323,25 +323,19 @@ class AggregatedProblem:
         each group; the default equal split is the one proven optimal for the
         supported objectives and always yields a valid per-job allocation.
         """
-        entries: Dict[JobCombination, np.ndarray] = {}
-
-        def accumulate(key: JobCombination, values: np.ndarray) -> None:
-            if key in entries:
-                entries[key] = entries[key] + values
-            else:
-                entries[key] = values
-
+        keys: List[JobCombination] = []
+        blocks: List[np.ndarray] = []
         rep_to_key = {rep: key for key, rep in self.representatives.items()}
-        for combination in aggregated.combinations:
-            row = aggregated.row(combination)
+        for combination, row in zip(aggregated.combinations, aggregated.matrix):
             if len(combination) == 1:
                 members = self.groups[rep_to_key[combination[0]]]
                 shares = weighted_member_split(1.0, members, weights)
-                for member, share in shares.items():
-                    accumulate((member,), row * share)
+                keys.extend((member,) for member in shares)
+                blocks.append(np.array(list(shares.values()))[:, None] * row)
                 continue
             first, second = combination
             if first == second:
+                # Members are sorted, so every (members[i], members[j]) is too.
                 members = self.groups[rep_to_key[first]]
                 pair_ids = [
                     (members[i], members[j])
@@ -349,31 +343,29 @@ class AggregatedProblem:
                     for j in range(i + 1, len(members))
                 ]
                 pair_weights = (
-                    None
+                    [1.0] * len(pair_ids)
                     if weights is None
                     else [
                         float(weights.get(a, 1.0)) * float(weights.get(b, 1.0))
                         for a, b in pair_ids
                     ]
                 )
-                shares = proportional_split(
-                    1.0, pair_weights if pair_weights is not None else [1.0] * len(pair_ids)
-                )
-                for (a, b), share in zip(pair_ids, shares):
-                    accumulate((a, b), row * share)
+                keys.extend(pair_ids)
+                blocks.append(np.array(proportional_split(1.0, pair_weights))[:, None] * row)
                 continue
-            members_first = self.groups[rep_to_key[first]]
-            members_second = self.groups[rep_to_key[second]]
-            shares_first = weighted_member_split(1.0, members_first, weights)
-            shares_second = weighted_member_split(1.0, members_second, weights)
+            shares_first = weighted_member_split(1.0, self.groups[rep_to_key[first]], weights)
+            shares_second = weighted_member_split(1.0, self.groups[rep_to_key[second]], weights)
+            products: List[float] = []
             for member_a, share_a in shares_first.items():
                 for member_b, share_b in shares_second.items():
-                    accumulate(
-                        tuple(sorted((member_a, member_b))), row * (share_a * share_b)
-                    )
+                    low, high = sorted((member_a, member_b))
+                    keys.append((low, high))
+                    products.append(share_a * share_b)
+            blocks.append(np.array(products)[:, None] * row)
 
-        return Allocation(
-            aggregated.registry, entries, scale_factors=self.base.scale_factors()
+        empty = np.zeros((0, len(aggregated.registry)))
+        return Allocation.from_dense(
+            aggregated.registry, keys, np.concatenate([empty, *blocks]), self.base.scale_factors()
         )
 
 

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -28,25 +28,34 @@ from repro.exceptions import ConfigurationError
 __all__ = ["IsolatedPolicy", "GandivaPolicy", "AlloXPolicy"]
 
 
+def _equal_shares(
+    problem: PolicyProblem, matrix: ThroughputMatrix
+) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """Every job's static 1/n slice of the cluster, one row per job in id order.
+
+    A job needing ``scale`` workers turns its slice into time fractions
+    ``counts / (n * scale)``, scaled down to total at most 1, and gets nothing
+    on types it cannot run on.
+    """
+    job_ids, isolated = matrix.singles_matrix()
+    counts = problem.cluster_spec.counts_vector()
+    scales = np.array([problem.scale_factor(job_id) for job_id in job_ids], dtype=float)
+    fractions = counts[None, :] / (problem.num_jobs * scales[:, None])
+    totals = fractions.sum(axis=1, keepdims=True)
+    fractions = np.where(totals > 1.0, fractions / totals, fractions)
+    return job_ids, np.where(isolated > 0, fractions, 0.0)
+
+
 class IsolatedPolicy(Policy):
     """Static equal partitioning: every job gets a 1/n share of every accelerator type."""
 
     name = "isolated"
 
     def compute_allocation(self, problem: PolicyProblem) -> Allocation:
-        matrix = self.effective_matrix(problem).restrict_to_singletons()
-        counts = problem.cluster_spec.counts_vector()
-        num_jobs = problem.num_jobs
-        entries: Dict[JobCombination, np.ndarray] = {}
-        for job_id in problem.job_ids:
-            scale = problem.scale_factor(job_id)
-            fractions = counts / (num_jobs * scale)
-            total = fractions.sum()
-            if total > 1.0:
-                fractions = fractions / total
-            runnable = matrix.isolated_throughputs(job_id) > 0
-            entries[(job_id,)] = np.where(runnable, fractions, 0.0)
-        return Allocation(matrix.registry, entries, scale_factors=problem.scale_factors())
+        matrix = self.effective_matrix(problem)
+        job_ids, values = _equal_shares(problem, matrix)
+        combinations = [(job_id,) for job_id in job_ids]
+        return Allocation.from_dense(matrix.registry, combinations, values, problem.scale_factors())
 
 
 class GandivaPolicy(Policy):
@@ -65,43 +74,38 @@ class GandivaPolicy(Policy):
 
     def compute_allocation(self, problem: PolicyProblem) -> Allocation:
         full_matrix = problem.throughputs
-        singles = full_matrix.restrict_to_singletons()
-        counts = problem.cluster_spec.counts_vector()
-        num_jobs = problem.num_jobs
-
         # Start from a heterogeneity-agnostic equal time share for every job.
-        entries: Dict[JobCombination, np.ndarray] = {}
-        for job_id in problem.job_ids:
-            scale = problem.scale_factor(job_id)
-            fractions = counts / (num_jobs * scale)
-            total = fractions.sum()
-            if total > 1.0:
-                fractions = fractions / total
-            runnable = singles.isolated_throughputs(job_id) > 0
-            entries[(job_id,)] = np.where(runnable, fractions, 0.0)
-
+        job_ids, singles = _equal_shares(problem, full_matrix)
+        pairs: Dict[JobCombination, np.ndarray] = {}
         if self.space_sharing and full_matrix.has_space_sharing() and self._packing_trials > 0:
-            entries = self._randomly_pack(problem, full_matrix, entries)
+            pairs = self._randomly_pack(full_matrix, job_ids, singles)
 
-        return Allocation(full_matrix.registry, entries, scale_factors=problem.scale_factors())
+        combinations = [(job_id,) for job_id in job_ids] + list(pairs)
+        values = np.concatenate([singles, *(row[None, :] for row in pairs.values())])
+        return Allocation.from_dense(
+            full_matrix.registry, combinations, values, problem.scale_factors()
+        )
 
     def _randomly_pack(
         self,
-        problem: PolicyProblem,
         matrix: ThroughputMatrix,
-        entries: Dict[JobCombination, np.ndarray],
+        job_ids: Sequence[int],
+        singles: np.ndarray,
     ) -> Dict[JobCombination, np.ndarray]:
         """Randomly probe pair combinations and merge the ones that help.
 
         A probe succeeds when the pair's combined throughput (normalized to
         the jobs' isolated throughputs) exceeds 1.0 on the accelerator type
         where both jobs currently hold the largest allocation; the two jobs'
-        allocations on that type are then merged into the pair row.  This
-        mirrors Gandiva's introspective trial-and-error packing.
+        allocations on that type (rows of ``singles``, updated in place) are
+        then merged into the returned pair row.  This mirrors Gandiva's
+        introspective trial-and-error packing.
         """
+        pairs: Dict[JobCombination, np.ndarray] = {}
         pair_rows = [c for c in matrix.combinations if len(c) == 2]
         if not pair_rows:
-            return entries
+            return pairs
+        row_of = {job_id: row for row, job_id in enumerate(job_ids)}
         packed: Set[int] = set()
         num_accels = len(matrix.registry)
         for _ in range(self._packing_trials):
@@ -109,12 +113,13 @@ class GandivaPolicy(Policy):
             first, second = combination
             if first in packed or second in packed:
                 continue
-            if (first,) not in entries or (second,) not in entries:
+            if first not in row_of or second not in row_of:
                 continue
-            shared = entries[(first,)] * entries[(second,)]
+            share_first, share_second = singles[row_of[first]], singles[row_of[second]]
+            shared = share_first * share_second
             if not np.any(shared > 0):
                 continue
-            column = int(np.argmax(entries[(first,)] + entries[(second,)]))
+            column = int(np.argmax(share_first + share_second))
             row = matrix.row(combination)
             isolated_first = matrix.isolated_throughputs(first)[column]
             isolated_second = matrix.isolated_throughputs(second)[column]
@@ -125,10 +130,10 @@ class GandivaPolicy(Policy):
                 continue
             # Cap the shared fraction so neither job's total allocation
             # (other accelerator types plus the shared slot) exceeds 1.
-            headroom_first = 1.0 - (entries[(first,)].sum() - entries[(first,)][column])
-            headroom_second = 1.0 - (entries[(second,)].sum() - entries[(second,)][column])
+            headroom_first = 1.0 - (share_first.sum() - share_first[column])
+            headroom_second = 1.0 - (share_second.sum() - share_second[column])
             pair_fraction = min(
-                entries[(first,)][column] + entries[(second,)][column],
+                share_first[column] + share_second[column],
                 headroom_first,
                 headroom_second,
                 1.0,
@@ -137,11 +142,11 @@ class GandivaPolicy(Policy):
                 continue
             pair_row = np.zeros(num_accels)
             pair_row[column] = pair_fraction
-            entries[combination] = pair_row
-            entries[(first,)][column] = 0.0
-            entries[(second,)][column] = 0.0
+            pairs[combination] = pair_row
+            share_first[column] = 0.0
+            share_second[column] = 0.0
             packed.update(combination)
-        return entries
+        return pairs
 
 
 class AlloXPolicy(Policy):
@@ -170,23 +175,22 @@ class AlloXPolicy(Policy):
             job_id for job_id in problem.job_ids if problem.scale_factor(job_id) == 1
         ]
         multi_worker = [job_id for job_id in problem.job_ids if problem.scale_factor(job_id) > 1]
-        entries: Dict[JobCombination, np.ndarray] = {
-            (job_id,): np.zeros(len(registry)) for job_id in problem.job_ids
-        }
+        row_of = {job_id: row for row, job_id in enumerate(problem.job_ids)}
+        values = np.zeros((len(row_of), len(registry)))
         if job_ids:
             assignment = self._match(problem, matrix, job_ids, counts)
             for job_id, column in assignment.items():
-                entries[(job_id,)][column] = 1.0
+                values[row_of[job_id], column] = 1.0
 
         # AlloX only handles single-worker jobs; distributed jobs fall back to
         # their fastest accelerator so they are not starved forever.
         for job_id in multi_worker:
             throughputs = matrix.isolated_throughputs(job_id)
             if np.any(throughputs > 0):
-                entries[(job_id,)][int(np.argmax(throughputs))] = 1.0
+                values[row_of[job_id], int(np.argmax(throughputs))] = 1.0
 
-        allocation = Allocation(registry, entries, scale_factors=problem.scale_factors())
-        return allocation
+        combinations = [(job_id,) for job_id in row_of]
+        return Allocation.from_dense(registry, combinations, values, problem.scale_factors())
 
     def _match(
         self,

@@ -395,11 +395,14 @@ class AllocationVariables:
         )
         self._capacity_constraints = [int(handle) for handle in capacity_handles]
 
-    def _aligned_var_matrix(self, dense: DenseRows) -> np.ndarray:
-        """The (num_rows, num_columns) variable-index matrix for this snapshot."""
+    def _aligned_var_matrix(self, combinations: Sequence[JobCombination]) -> np.ndarray:
+        """The (num_rows, num_columns) variable-index matrix for this snapshot.
+
+        ``combinations`` are the snapshot matrix's rows, in their sorted order.
+        """
         if self._var_matrix is None or self._var_matrix_for is not self._matrix:
             self._var_matrix = np.stack(
-                [self._row_vars[combination] for combination in dense.combinations]
+                [self._row_vars[combination] for combination in combinations]
             )
             self._var_matrix_for = self._matrix
         return self._var_matrix
@@ -672,7 +675,7 @@ class AllocationVariables:
         arrays.
         """
         dense = self._matrix.dense_rows()
-        var_matrix = self._aligned_var_matrix(dense)
+        var_matrix = self._aligned_var_matrix(dense.combinations)
         member_order = dense.members_by_job
         cols = var_matrix[dense.member_rows[member_order]].reshape(-1)
         vals = dense.values[member_order].reshape(-1)
@@ -718,7 +721,7 @@ class AllocationVariables:
         costs = self._matrix.registry.costs_per_hour()
         if self._vectorized:
             dense = self._matrix.dense_rows()
-            var_matrix = self._aligned_var_matrix(dense)
+            var_matrix = self._aligned_var_matrix(dense.combinations)
             coeffs = self._row_scales(dense)[:, None] * np.asarray(costs, dtype=float)[None, :]
             return LinearExpression.from_arrays(var_matrix.ravel(), coeffs.ravel())
         coefficients: Dict[int, float] = {}
@@ -731,18 +734,20 @@ class AllocationVariables:
         return LinearExpression(coefficients)
 
     def extract_allocation(self, solution: _ProgramSolution) -> Allocation:
-        """Read the optimal variable values back into an :class:`Allocation`."""
-        values = solution.values
-        entries: Dict[JobCombination, np.ndarray] = {
-            combination: values[self._row_vars[combination]]
-            for combination in self._matrix.combinations
-        }
-        allocation = Allocation(
-            self._matrix.registry, entries, scale_factors=self._problem.scale_factors()
-        )
+        """Read the optimal variable values back into an :class:`Allocation`.
+
+        One gather over the variable-index matrix, whose rows follow the
+        sorted :attr:`ThroughputMatrix.combinations`, clipped to clean up LP
+        round-off.
+        """
+        combinations = self._matrix.combinations
         # Group-total rows of a type-aggregated problem may legitimately sit
         # above 1, so only the lower bound is cleaned up there.
-        return allocation.clipped(upper=None if self._counts else 1.0)
+        upper = np.inf if self._counts else 1.0
+        values = np.clip(solution.values[self._aligned_var_matrix(combinations)], 0.0, upper)
+        return Allocation.from_dense(
+            self._matrix.registry, combinations, values, self._problem.scale_factors()
+        )
 
 
 class OptimizationPolicy(Policy):

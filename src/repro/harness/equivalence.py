@@ -147,11 +147,7 @@ def policy_objective_value(
             for j in problem.job_ids
         )
     if base in ("min_cost", "min_cost_slo"):
-        costs = matrix.registry.costs_per_hour()
-        cost = 0.0
-        for combination in allocation.combinations:
-            scale = max(problem.scale_factor(j) for j in combination)
-            cost += float(np.dot(allocation.row(combination), costs)) * scale
+        cost = float(allocation.worker_usage() @ np.asarray(matrix.registry.costs_per_hour()))
         numerator = sum(
             throughputs[j] / fastest_reference_throughput(matrix, j)
             for j in problem.job_ids

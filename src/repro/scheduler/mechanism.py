@@ -8,20 +8,22 @@ the same round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster_spec import ClusterSpec
 from repro.cluster.placement import PlacementRequest
-from repro.core.allocation import Allocation
 from repro.core.throughput_matrix import JobCombination
 from repro.exceptions import SchedulingError
 from repro.scheduler.priorities import PriorityTracker
 
 __all__ = ["ScheduledCombination", "RoundScheduler", "scheduled_job_ids"]
+
+#: Sort value standing in for an infinite priority (a row that has received
+#: no time yet), so ties among such rows fall through to the target.
+_INFINITE_PRIORITY = 1e18
 
 
 def scheduled_job_ids(scheduled: Sequence["ScheduledCombination"]) -> Tuple[int, ...]:
@@ -78,53 +80,46 @@ class RoundScheduler:
         """
         allocation = tracker.allocation
         priorities = tracker.priorities()
-        registry = allocation.registry
+        target = allocation.matrix
+        names = allocation.registry.names
 
-        candidates: List[Tuple[float, float, JobCombination, str, int]] = []
-        for combination in allocation.combinations:
-            scale = max(int(scale_factors.get(job_id, 1)) for job_id in combination)
-            target = allocation.row(combination)
-            priority_row = priorities[combination]
-            for column, accelerator_name in enumerate(registry.names):
-                if target[column] <= 0:
-                    continue
-                priority = priority_row[column]
-                # ``not (priority > 0)`` also rejects NaN priorities, which
-                # would otherwise make the sort key non-total and the
-                # resulting schedule dependent on candidate insertion order.
-                if not (priority > 0):
-                    continue
-                # Sort key: higher priority first; ties broken by larger target
-                # allocation, then deterministically by combination id.
-                sort_priority = priority if math.isfinite(priority) else 1e18
-                candidates.append(
-                    (sort_priority, float(target[column]), combination, accelerator_name, scale)
-                )
+        # Candidates: positive target and positive priority; the mask also
+        # drops NaN, which would make the sort key non-total.
+        rows, columns = np.nonzero((target > 0) & (priorities > 0))
+        sort_priorities = priorities[rows, columns]
+        sort_priorities[np.isinf(sort_priorities)] = _INFINITE_PRIORITY
+        # Ranked in Python: a first NumPy string sort pages in ~0.3 MB of code.
+        name_ranks = np.array([sorted(names).index(name) for name in names])
+        # Higher priority first; ties broken by larger target allocation, then
+        # deterministically by combination (row order) and accelerator name.
+        order = np.lexsort((name_ranks[columns], rows, -target[rows, columns], -sort_priorities))
 
-        candidates.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
-
-        remaining: Dict[str, int] = {
-            name: self._cluster_spec.count(name) for name in registry.names
-        }
+        remaining = [self._cluster_spec.count(name) for name in names]
+        free = sum(remaining)
         scheduled: List[ScheduledCombination] = []
         busy_jobs: Set[int] = set()
-        for priority, _target, combination, accelerator_name, scale in candidates:
+        for row, column, priority in zip(
+            rows[order].tolist(), columns[order].tolist(), sort_priorities[order].tolist()
+        ):
+            if free == 0:
+                break
+            combination = allocation.combinations[row]
             if any(job_id in busy_jobs for job_id in combination):
                 continue
-            if remaining[accelerator_name] < scale:
+            scale = max(int(scale_factors.get(job_id, 1)) for job_id in combination)
+            if remaining[column] < scale:
                 continue
-            remaining[accelerator_name] -= scale
+            remaining[column] -= scale
+            free -= scale
             busy_jobs.update(combination)
             scheduled.append(
                 ScheduledCombination(
                     combination=combination,
-                    accelerator_name=accelerator_name,
+                    accelerator_name=names[column],
                     scale_factor=scale,
                     priority=priority,
                 )
             )
-            if all(count == 0 for count in remaining.values()):
-                break
         return scheduled
 
     def validate_round(self, scheduled: Sequence[ScheduledCombination]) -> None:

@@ -12,107 +12,105 @@ nothing at all) and are scheduled first in the next round.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.cluster.accelerators import AcceleratorRegistry
 from repro.core.allocation import Allocation
 from repro.core.throughput_matrix import JobCombination
-from repro.exceptions import SchedulingError
+from repro.exceptions import SchedulingError, UnknownJobError
 
 __all__ = ["PriorityTracker"]
 
 
 class PriorityTracker:
-    """Tracks time received per (combination, accelerator type) and derives priorities."""
+    """Tracks time received per (combination, accelerator type) and derives priorities.
+
+    The time received is one ``K x T`` matrix aligned with the tracked
+    allocation's :attr:`~repro.core.allocation.Allocation.matrix`: row ``k``
+    belongs to ``allocation.combinations[k]``.
+    """
 
     def __init__(self, allocation: Allocation) -> None:
         self._allocation = allocation
-        self._registry: AcceleratorRegistry = allocation.registry
-        self._time_received: Dict[JobCombination, np.ndarray] = {
-            combination: np.zeros(len(self._registry))
-            for combination in allocation.combinations
-        }
+        self._received = np.zeros(allocation.matrix.shape)
 
     # -- bookkeeping -------------------------------------------------------------
     @property
     def allocation(self) -> Allocation:
         return self._allocation
 
+    def _row(self, combination: Sequence[int]) -> int:
+        try:
+            return self._allocation.row_index(combination)
+        except UnknownJobError:
+            raise SchedulingError(
+                f"combination {tuple(sorted(combination))} is not part of the tracked allocation"
+            ) from None
+
     def record_time(self, combination: Sequence[int], accelerator_name: str, seconds: float) -> None:
         """Record that ``combination`` ran on ``accelerator_name`` for ``seconds``."""
-        key = tuple(sorted(int(j) for j in combination))
-        if key not in self._time_received:
-            raise SchedulingError(f"combination {key} is not part of the tracked allocation")
+        row = self._row(combination)
         if seconds < 0:
             raise SchedulingError(f"cannot record negative time {seconds}")
-        column = self._registry.index_of(accelerator_name)
-        self._time_received[key][column] += seconds
+        column = self._allocation.registry.index_of(accelerator_name)
+        self._received[row, column] += seconds
 
-    def snapshot_state(self) -> Dict[JobCombination, np.ndarray]:
-        """Copy of the per-combination time-received table (for checkpointing)."""
-        return {combination: received.copy() for combination, received in self._time_received.items()}
+    def snapshot_state(self) -> np.ndarray:
+        """Copy of the ``K x T`` time-received matrix (for checkpointing)."""
+        return self._received.copy()
 
-    def restore_state(self, state: Mapping[JobCombination, np.ndarray]) -> None:
-        """Overwrite the time-received table from a :meth:`snapshot_state` copy.
+    def restore_state(self, state: np.ndarray) -> None:
+        """Overwrite the time-received matrix from a :meth:`snapshot_state` copy.
 
-        The state must cover exactly the combinations of the tracked
-        allocation — restoring a snapshot taken against a different allocation
-        is a checkpoint/allocation mismatch.
+        The matrix must have the tracked allocation's shape — restoring a
+        snapshot taken against a different allocation is a
+        checkpoint/allocation mismatch.
         """
-        if set(state) != set(self._time_received):
+        received = np.array(state, dtype=float)
+        if received.shape != self._received.shape:
             raise SchedulingError(
-                "priority-tracker state does not match the tracked allocation's combinations"
+                f"tracker state {received.shape} does not match allocation {self._received.shape}"
             )
-        self._time_received = {combination: np.array(received, dtype=float) for combination, received in state.items()}
+        self._received = received
 
     def time_received(self, combination: Sequence[int]) -> np.ndarray:
         """Seconds of time received per accelerator type for one combination."""
-        key = tuple(sorted(int(j) for j in combination))
-        if key not in self._time_received:
-            raise SchedulingError(f"combination {key} is not part of the tracked allocation")
-        return self._time_received[key].copy()
+        return self._received[self._row(combination)].copy()
 
     def total_time_per_type(self) -> np.ndarray:
         """Total recorded seconds per accelerator type across all combinations."""
-        total = np.zeros(len(self._registry))
-        for received in self._time_received.values():
-            total += received
-        return total
+        return self._received.sum(axis=0)
 
     # -- fractions and priorities ----------------------------------------------------
-    def fractions(self) -> Dict[JobCombination, np.ndarray]:
-        """``f[k, j]``: share of accelerator ``j``'s recorded time spent on combination ``k``."""
+    def _fraction_matrix(self) -> np.ndarray:
+        """``f``: each column of the time-received matrix divided by its total."""
         totals = self.total_time_per_type()
-        fractions: Dict[JobCombination, np.ndarray] = {}
-        for combination, received in self._time_received.items():
-            row = np.zeros(len(self._registry))
-            for column in range(len(self._registry)):
-                if totals[column] > 0:
-                    row[column] = received[column] / totals[column]
-            fractions[combination] = row
+        fractions = np.zeros_like(self._received)
+        np.divide(self._received, totals, out=fractions, where=totals > 0)
         return fractions
 
-    def priorities(self) -> Dict[JobCombination, np.ndarray]:
+    def fractions(self) -> Dict[JobCombination, np.ndarray]:
+        """``f[k, j]``: share of accelerator ``j``'s recorded time spent on combination ``k``."""
+        return dict(zip(self._allocation.combinations, self._fraction_matrix()))
+
+    def priorities(self) -> np.ndarray:
         """Element-wise ``X_opt / f`` with the conventions of Figure 4.
 
-        * target 0 ⇒ priority 0 (never scheduled on that type);
+        Returns a ``K x T`` matrix whose row ``k`` belongs to
+        ``allocation.combinations[k]``:
+
+        * target not positive (including NaN) ⇒ priority 0 (never scheduled
+          on that type);
         * target > 0 and no time received yet ⇒ infinite priority;
         * otherwise the ratio of target to received fraction.
         """
-        fractions = self.fractions()
-        priorities: Dict[JobCombination, np.ndarray] = {}
-        for combination in self._allocation.combinations:
-            target = self._allocation.row(combination)
-            fraction = fractions[combination]
-            row = np.zeros(len(self._registry))
-            for column in range(len(self._registry)):
-                if target[column] <= 0:
-                    row[column] = 0.0
-                elif fraction[column] <= 0:
-                    row[column] = math.inf
-                else:
-                    row[column] = target[column] / fraction[column]
-            priorities[combination] = row
+        target = self._allocation.matrix
+        fractions = self._fraction_matrix()
+        priorities = np.zeros_like(fractions)
+        wanted = target > 0
+        received = fractions > 0
+        priorities[wanted & ~received] = math.inf
+        ratio = wanted & received
+        priorities[ratio] = target[ratio] / fractions[ratio]
         return priorities

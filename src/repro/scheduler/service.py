@@ -272,7 +272,9 @@ class SchedulerSnapshot:
     staleness_integral: float
     staleness_events: int
     tracker_allocation: Optional[Allocation]
-    tracker_state: Optional[Dict[Tuple[int, ...], np.ndarray]]
+    #: The tracker's ``K x T`` time-received matrix, rows aligned with
+    #: ``tracker_allocation.combinations``.
+    tracker_state: Optional[np.ndarray]
     rng_state: dict
     session_history: List[Tuple[PolicyProblem, Optional[List[PolicyDelta]]]]
 
@@ -1244,23 +1246,22 @@ class ClusterScheduler:
             )
         dt = max(0.0, next_event - current_time)
 
-        names = self._cluster_spec.registry.names
-        for job_id, state in list(self._active.items()):
-            throughput = throughputs[job_id]
-            state.steps_done += throughput * dt
+        # Busy worker-seconds and cost over ``dt``: one job x row membership
+        # product, then one vector update per accelerator type.
+        registry = self._cluster_spec.registry
+        job_ids = list(self._active)
+        scales = np.array([self._active[job_id].job.scale_factor for job_id in job_ids])
+        worker_seconds = allocation.job_rows(job_ids) * dt * scales[:, None]
+        job_costs = worker_seconds @ np.asarray(registry.costs_per_hour()) / _SECONDS_PER_HOUR
+        for name, seconds in zip(registry.names, worker_seconds.sum(axis=0).tolist()):
+            self._busy_seconds[name] += seconds
+        self._total_cost += float(job_costs.sum())
+        for job_id, cost in zip(job_ids, job_costs.tolist()):
+            state = self._active[job_id]
+            state.steps_done += throughputs[job_id] * dt
             record = self._records[job_id]
             record.steps_done = state.steps_done
-            job_row = allocation.job_row(job_id)
-            for column, name in enumerate(names):
-                worker_seconds = job_row[column] * dt * state.job.scale_factor
-                self._busy_seconds[name] += worker_seconds
-                cost = (
-                    self._cluster_spec.registry.get(name).cost_per_hour
-                    * worker_seconds
-                    / _SECONDS_PER_HOUR
-                )
-                record.cost_dollars += cost
-                self._total_cost += cost
+            record.cost_dollars += cost
             if state.steps_remaining <= 1e-6:
                 record.completion_time = current_time + dt
                 del self._active[job_id]

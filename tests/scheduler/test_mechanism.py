@@ -193,7 +193,7 @@ class TestTieBreakDeterminism:
         )
         tracker = PriorityTracker(allocation)
         priorities = tracker.priorities()
-        priorities[(0,)][0] = float("nan")
+        priorities[allocation.row_index((0,)), 0] = float("nan")
 
         class _PatchedTracker:
             allocation = tracker.allocation
@@ -205,3 +205,20 @@ class TestTieBreakDeterminism:
         scheduled = RoundScheduler(spec).schedule_round(_PatchedTracker(), {0: 1, 1: 1})
         assert all(item.combination != (0,) for item in scheduled)
         assert any(item.combination == (1,) for item in scheduled)
+
+    def test_nan_target_not_scheduled_first(self, registry):
+        """A NaN target is not positive: it gets priority 0, not infinity."""
+        spec = ClusterSpec.from_counts({"v100": 1, "p100": 0, "k80": 0}, registry=registry)
+        allocation = Allocation(
+            registry,
+            {
+                (0,): np.array([float("nan"), 0.0, 0.0]),
+                (1,): np.array([1.0, 0.0, 0.0]),
+            },
+        )
+        tracker = PriorityTracker(allocation)
+        assert tracker.priorities()[allocation.row_index((0,)), 0] == 0.0
+        scheduled = RoundScheduler(spec).schedule_round(tracker, {0: 1, 1: 1})
+        assert [(item.combination, item.accelerator_name) for item in scheduled] == [
+            ((1,), "v100")
+        ]
