@@ -19,18 +19,20 @@ Also measures, under job churn:
   engine's delta stream (live program edited in place, warm-started solves);
   the session must be at least 2x faster at the largest churn job count for
   the plain LAS policy;
-* water-filling policy-solve time under the same churn protocol, pitting the
-  historical rebuild-per-LP implementation (``incremental=False`` — a fresh
-  program per level iteration and per headroom probe) against the persistent
-  level-loop session; the session must be at least 2x faster at every
-  measured count of 64+ jobs (typically ~4-5x);
+* water-filling policy-solve time under the same churn protocol, stateless
+  ``compute_allocation`` against the persistent level-loop session; the gate
+  is machine-independent: the whole measurement must construct exactly one
+  ``LinearProgram`` per stateless solve plus one for the session, at every
+  job count (each level iteration and headroom probe edits the live program
+  instead of building a new one);
 * LP *construction* time (the ``build`` phase: session construction +
-  ``session.prepare``, everything short of the LP solve), comparing the
-  per-term dict assembly path against the columnar/vectorized path; the
-  vectorized path must be at least 3x faster for ``max_min_fairness+ss`` at
-  every measured count of 256+ jobs.  The space-sharing policies are
-  benchmarked at >=512 jobs by default and the ``REPRO_BENCH_SCALE`` sweep
-  reaches the paper's 2048 jobs;
+  ``session.prepare``, everything short of the LP solve) for
+  ``max_min_fairness+ss`` and ``makespan+ss``; the gate is
+  machine-independent: the number of ``LinearProgram`` mutation calls the
+  build makes must be the same at every job count (columnar assembly emits
+  whole ndarray blocks, so the call count does not grow with the program).
+  The space-sharing policies are benchmarked at >=512 jobs by default and the
+  ``REPRO_BENCH_SCALE`` sweep reaches the paper's 2048 jobs;
 * the *type-aggregated* representation (``aggregation="type"``, one LP row
   per group of interchangeable jobs instead of one per job), comparing the
   full session path (construct + solve + proportional-split expansion)
@@ -50,8 +52,11 @@ artifact and track the perf trajectory across PRs.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from collections import Counter
+from contextlib import contextmanager
 
 from conftest import BENCH_SCALE
 
@@ -64,6 +69,7 @@ from repro.harness import (
     measure_policy_runtime,
     measure_policy_solve_under_churn,
 )
+from repro.solver.lp import LinearProgram
 from repro.workloads import TraceGenerator
 
 _NUM_JOBS = [8, 16, 32] if BENCH_SCALE == 1 else [32, 64, 128, 256]
@@ -82,12 +88,13 @@ _CHURN_POLICIES = {
 #: re-solve itself (~2.2x at 128 jobs; 2x holds again from 256 jobs up).
 _CHURN_SPEEDUP_GATE = 1.7 if BENCH_SCALE == 1 else 2.0
 #: Water-filling churn sweep: the level loop solves O(iterations x candidates)
-#: LPs per event, so the rebuild baseline is expensive — fewer events, and the
-#: gate point is 64 jobs (the issue's "64+ jobs" floor) at every scale.
+#: LPs per event, so it runs fewer events than the LAS sweep.
 _WF_CHURN_NUM_JOBS = [16, 64] if BENCH_SCALE == 1 else [64, 128]
 _WF_CHURN_NUM_EVENTS = 6
-#: Required rebuild/session speedup for water filling at every 64+ job count.
-_WF_CHURN_SPEEDUP_GATE = 2.0
+#: ``LinearProgram`` constructions the water-filling churn measurement may
+#: make: one per stateless solve (the initial set plus a removal and an
+#: arrival per event) and one for the session.
+_WF_CHURN_PROGRAMS = 2 * _WF_CHURN_NUM_EVENTS + 2
 #: Job counts for the LP-construction (build-phase) sweep.  Construction is
 #: solver-free, so the space-sharing policies reach 512 jobs even at laptop
 #: scale, and the scaled sweep runs the paper's full 2048 active jobs.
@@ -96,9 +103,35 @@ _BUILD_POLICIES = {
     "LAS w/ SS": "max_min_fairness+ss",
     "Makespan w/ SS": "makespan+ss",
 }
-#: Vectorized-over-dict LP construction speedup required for LAS w/ SS at
-#: every measured job count of 256 and above.
-_BUILD_SPEEDUP_GATE = 3.0
+#: ``LinearProgram`` methods that edit a program's variables, constraints or
+#: objective; the build gate counts calls to them.
+_LP_MUTATIONS = (
+    "add_variable",
+    "add_variables",
+    "add_variables_from_arrays",
+    "set_variable_bounds",
+    "set_variable_bounds_from_arrays",
+    "fix_variable",
+    "release_variable",
+    "add_less_equal",
+    "add_greater_equal",
+    "add_equal",
+    "add_constraints_from_arrays",
+    "add_terms_to_constraint",
+    "add_terms_to_constraint_from_arrays",
+    "remove_terms_from_constraint",
+    "set_constraint_coefficients",
+    "set_constraint_coefficients_from_arrays",
+    "set_constraint_bounds",
+    "set_constraint_bounds_from_arrays",
+    "remove_constraint",
+    "set_objective",
+    "set_objective_from_arrays",
+    "maximize",
+    "minimize",
+    "add_max_min_objective",
+    "add_min_max_objective",
+)
 #: Job counts for the type-aggregated sweep.  The aggregated LP's size is set
 #: by the active-type count, not the job count, so the series runs far past
 #: the per-job sweeps — 16384 jobs by default, 100k under REPRO_BENCH_SCALE.
@@ -133,21 +166,70 @@ def _hierarchical_for_scaling(space_sharing=False):
     )
 
 
+@contextmanager
+def _count_lp_calls(names):
+    """Count calls to the named ``LinearProgram`` methods while the block runs.
+
+    Only outermost calls count: a method that delegates to another counted
+    method is one call.
+    """
+    counts = Counter()
+    depth = [0]
+    originals = {name: LinearProgram.__dict__[name] for name in names}
+
+    def counted(name, original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0:
+                counts[name] += 1
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name, original in originals.items():
+        setattr(LinearProgram, name, counted(name, original))
+    try:
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(LinearProgram, name, original)
+
+
 def _water_filling_churn(oracle):
-    """Rebuild-per-LP baseline vs persistent level-loop session under churn."""
-    return measure_policy_solve_under_churn(
-        make_policy(
-            "max_min_fairness_water_filling",
-            use_milp_bottleneck_detection=False,
-            incremental=False,
-        ),
-        _WF_CHURN_NUM_JOBS,
-        num_events=_WF_CHURN_NUM_EVENTS,
-        oracle=oracle,
-        session_policy=make_policy(
-            "max_min_fairness_water_filling", use_milp_bottleneck_detection=False
-        ),
-    )
+    """Stateless solves vs persistent level-loop session under churn.
+
+    Returns the timings per job count plus the number of ``LinearProgram``
+    constructions each job count's measurement made.
+    """
+    timings, programs = {}, {}
+    for n in _WF_CHURN_NUM_JOBS:
+        with _count_lp_calls(["__init__"]) as counts:
+            timings.update(
+                measure_policy_solve_under_churn(
+                    make_policy(
+                        "max_min_fairness_water_filling", use_milp_bottleneck_detection=False
+                    ),
+                    [n],
+                    num_events=_WF_CHURN_NUM_EVENTS,
+                    oracle=oracle,
+                )
+            )
+        programs[n] = counts["__init__"]
+    return timings, programs
+
+
+def _lp_build(spec, oracle):
+    """Build-phase seconds and ``LinearProgram`` mutation calls per job count."""
+    timings, calls = {}, {}
+    for n in _BUILD_NUM_JOBS:
+        with _count_lp_calls(_LP_MUTATIONS) as counts:
+            timings.update(measure_lp_build_runtime(spec, [n], oracle=oracle))
+        calls[n] = dict(sorted(counts.items()))
+    return timings, calls
 
 
 def _measure(oracle):
@@ -169,21 +251,21 @@ def _measure(oracle):
         )
         for name, spec in _CHURN_POLICIES.items()
     }
-    churn["WaterFilling"] = _water_filling_churn(oracle)
-    build = {
-        name: measure_lp_build_runtime(spec, _BUILD_NUM_JOBS, oracle=oracle)
-        for name, spec in _BUILD_POLICIES.items()
-    }
+    churn["WaterFilling"], wf_programs = _water_filling_churn(oracle)
+    build, build_calls = {}, {}
+    for name, spec in _BUILD_POLICIES.items():
+        build[name], build_calls[name] = _lp_build(spec, oracle)
     aggregated = {
         name: measure_aggregated_solve_runtime(
             spec, _AGG_NUM_JOBS, per_job_max=_AGG_PER_JOB_MAX, oracle=oracle
         )
         for name, spec in _AGG_SPECS.items()
     }
-    return runtimes, prep, churn, build, aggregated
+    counters = {"wf_programs": wf_programs, "build_calls": build_calls}
+    return runtimes, prep, churn, build, aggregated, counters
 
 
-def _write_artifact(runtimes, prep, churn, build, aggregated) -> str:
+def _write_artifact(runtimes, prep, churn, build, aggregated, counters) -> str:
     """Dump the sweep timings as JSON for the CI perf-trajectory artifact."""
     path = os.environ.get("REPRO_BENCH_JSON", "BENCH_fig12.json")
     payload = {
@@ -206,6 +288,13 @@ def _write_artifact(runtimes, prep, churn, build, aggregated) -> str:
             name: {str(n): point for n, point in series.items()}
             for name, series in build.items()
         },
+        "lp_build_mutation_calls": {
+            name: {str(n): point for n, point in series.items()}
+            for name, series in counters["build_calls"].items()
+        },
+        "water_filling_churn_programs": {
+            str(n): count for n, count in counters["wf_programs"].items()
+        },
         "aggregated_solve_seconds": {
             name: {str(n): point for n, point in series.items()}
             for name, series in aggregated.items()
@@ -217,7 +306,7 @@ def _write_artifact(runtimes, prep, churn, build, aggregated) -> str:
 
 
 def bench_fig12_policy_scalability(benchmark, oracle):
-    runtimes, prep, churn, build, aggregated = benchmark.pedantic(
+    runtimes, prep, churn, build, aggregated, counters = benchmark.pedantic(
         _measure, args=(oracle,), rounds=1, iterations=1
     )
     rows = [
@@ -283,31 +372,41 @@ def bench_fig12_policy_scalability(benchmark, oracle):
             point["scratch"] / max(point["session"], 1e-12), 2
         )
 
-    build_rows = []
-    for name in build:
-        for n in _BUILD_NUM_JOBS:
-            point = build[name][n]
-            build_rows.append(
-                [
-                    name,
-                    str(n),
-                    f"{point['dict']:.3f}",
-                    f"{point['vectorized']:.3f}",
-                    f"{point['dict'] / max(point['vectorized'], 1e-12):.1f}x",
-                ]
-            )
+    wf_programs = counters["wf_programs"]
     print(
         format_table(
-            ["policy", "jobs", "dict build (s)", "vectorized build (s)", "speedup"],
+            ["jobs", "LinearProgram constructions", "budget"],
+            [[str(n), str(wf_programs[n]), str(_WF_CHURN_PROGRAMS)] for n in _WF_CHURN_NUM_JOBS],
+            title="Water filling under churn: programs built (stateless solves + one session)",
+        )
+    )
+
+    build_calls = counters["build_calls"]
+    build_rows = [
+        [
+            name,
+            str(n),
+            f"{build[name][n]:.3f}",
+            str(sum(build_calls[name][n].values())),
+            ", ".join(f"{method}={count}" for method, count in build_calls[name][n].items()),
+        ]
+        for name in build
+        for n in _BUILD_NUM_JOBS
+    ]
+    print(
+        format_table(
+            ["policy", "jobs", "build (s)", "LP mutation calls", "by method"],
             build_rows,
-            title="LP construction (no solve): per-term dict vs columnar/vectorized assembly",
+            title="LP construction (no solve): seconds and LinearProgram mutation calls",
         )
     )
     build_largest = _BUILD_NUM_JOBS[-1]
     for name in build:
-        point = build[name][build_largest]
-        benchmark.extra_info[f"lp_build_speedup[{name}]@{build_largest}jobs"] = round(
-            point["dict"] / max(point["vectorized"], 1e-12), 2
+        benchmark.extra_info[f"lp_build_seconds[{name}]@{build_largest}jobs"] = round(
+            build[name][build_largest], 4
+        )
+        benchmark.extra_info[f"lp_build_mutation_calls[{name}]@{build_largest}jobs"] = sum(
+            build_calls[name][build_largest].values()
         )
 
     agg_rows = []
@@ -358,7 +457,7 @@ def bench_fig12_policy_scalability(benchmark, oracle):
             series[_AGG_NUM_JOBS[-1]]["lp_rows"]
         )
 
-    artifact = _write_artifact(runtimes, prep, churn, build, aggregated)
+    artifact = _write_artifact(runtimes, prep, churn, build, aggregated, counters)
     print(f"wrote sweep timings to {artifact}")
 
     # Shape checks: runtime grows with the number of jobs, the hierarchical
@@ -379,28 +478,27 @@ def bench_fig12_policy_scalability(benchmark, oracle):
     # regression (with slack for shared-runner timing noise).
     ss_point = churn["LAS w/ SS"][churn_largest]
     assert ss_point["scratch"] >= 0.8 * ss_point["session"]
-    # The persistent water-filling level loop must keep cutting repeated
-    # solves at least 2x vs the historical rebuild-per-LP baseline at every
-    # measured count of 64+ jobs (typically ~4-5x: the baseline rebuilds a
-    # program per level iteration and per greedy headroom probe).
+    # The water-filling level loop must edit one live program per solve:
+    # every level iteration and greedy headroom probe re-solves it instead of
+    # building a new one, so the churn measurement builds exactly one program
+    # per stateless solve plus one for the session at every job count.
     for n in _WF_CHURN_NUM_JOBS:
-        if n < 64:
-            continue
-        wf_point = churn["WaterFilling"][n]
-        assert wf_point["scratch"] >= _WF_CHURN_SPEEDUP_GATE * wf_point["session"], (
-            f"water-filling session speedup below {_WF_CHURN_SPEEDUP_GATE}x at {n} jobs: "
-            f"rebuild={wf_point['scratch']:.3f}s session={wf_point['session']:.3f}s"
+        assert wf_programs[n] == _WF_CHURN_PROGRAMS, (
+            f"water-filling churn at {n} jobs built {wf_programs[n]} LinearPrograms; "
+            f"expected {_WF_CHURN_PROGRAMS}"
         )
-    # Columnar LP assembly must cut construction time by at least 3x for
-    # LAS w/ SS at every measured job count of 256+ (typically 7-12x).
-    for n in _BUILD_NUM_JOBS:
-        if n < 256:
-            continue
-        point = build["LAS w/ SS"][n]
-        assert point["dict"] >= _BUILD_SPEEDUP_GATE * point["vectorized"], (
-            f"vectorized LP construction speedup below {_BUILD_SPEEDUP_GATE}x "
-            f"at {n} jobs: dict={point['dict']:.3f}s vectorized={point['vectorized']:.3f}s"
-        )
+    # Columnar LP assembly emits whole ndarray blocks, so the number of
+    # LinearProgram mutation calls a build makes must not grow with the job
+    # count.
+    for name in _BUILD_POLICIES:
+        per_count = build_calls[name]
+        first = per_count[_BUILD_NUM_JOBS[0]]
+        for n in _BUILD_NUM_JOBS:
+            assert per_count[n] == first, (
+                f"{name}: LP mutation calls vary with the job count: "
+                f"{per_count[_BUILD_NUM_JOBS[0]]} at {_BUILD_NUM_JOBS[0]} jobs, "
+                f"{per_count[n]} at {n} jobs"
+            )
     # Every type-aggregated session (plain LAS and the iterative water-filling
     # family) must beat its per-job counterpart by at least 5x at every
     # measured count of 2048+ jobs where both legs ran (typically 30-60x for

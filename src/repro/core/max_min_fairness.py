@@ -21,22 +21,22 @@ event touches a handful of rows and HiGHS re-solves from its incumbent basis.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.effective_throughput import normalized_throughput_scale
-from repro.core.policy import AllocationVariables, OptimizationPolicy
+from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.session import IncrementalProgramSession, PolicySession
 from repro.core.throughput_matrix import ThroughputMatrix
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.solver.lp import LinearProgram
 
 __all__ = ["MaxMinFairnessPolicy", "MaxMinFairnessSession"]
 
 
-class MaxMinFairnessPolicy(OptimizationPolicy):
+class MaxMinFairnessPolicy(Policy):
     """Weighted max-min fairness over normalized effective throughputs (LAS)."""
 
     name = "max_min_fairness"
@@ -61,26 +61,16 @@ class MaxMinFairnessPolicy(OptimizationPolicy):
             priority_weight=problem.priority_weight(job_id),
         )
 
-    def build_objective(
-        self,
-        problem: PolicyProblem,
-        variables: AllocationVariables,
-        program: LinearProgram,
-    ) -> None:
-        expressions: List[LinearExpression] = []
-        matrix = variables.matrix
-        for job_id in problem.job_ids:
-            scale = self.normalized_throughput_scale(problem, matrix, job_id)
-            expressions.append(variables.effective_throughput_expression(job_id) * scale)
-        program.add_max_min_objective(expressions)
+    def compute_allocation(self, problem: PolicyProblem) -> Allocation:
+        return self.session(problem).solve(problem)
 
 
 class MaxMinFairnessSession(IncrementalProgramSession):
     """Stateful LAS solver with a persistent epigraph formulation.
 
-    Equivalent to ``build_objective`` + ``add_max_min_objective`` on a fresh
-    program, but the epigraph constraints ``t <= scale_m * throughput(m, X)``
-    are edited in place rather than rebuilt, so unchanged jobs cost nothing.
+    Maximizes an epigraph variable ``t`` subject to one row
+    ``t <= scale_m * throughput(m, X)`` per job; the rows are edited in place
+    rather than rebuilt, so unchanged jobs cost nothing.
     """
 
     def __init__(self, policy: MaxMinFairnessPolicy, problem: PolicyProblem) -> None:
@@ -89,9 +79,16 @@ class MaxMinFairnessSession(IncrementalProgramSession):
         self._program.maximize({self._epigraph.index: 1.0})
         self._constraints: Dict[int, int] = {}
         self._scales: Dict[int, float] = {}
-        self._expressions: Dict[int, LinearExpression] = {}
+        self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _prepare(self, problem: PolicyProblem) -> None:
+        """Re-align the epigraph rows with ``problem`` (same rows, same order).
+
+        A from-scratch alignment (first solve, or every job changed) emits
+        all ``t <= scale_m * throughput(m, X)`` rows in one columnar call;
+        incremental alignment edits only the jobs whose cached terms or
+        normalization moved.
+        """
         policy = self._policy
         self._sync(problem)
         program = self._program
@@ -102,46 +99,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
             if job_id not in active:
                 program.remove_constraint(self._constraints.pop(job_id))
                 self._scales.pop(job_id, None)
-                self._expressions.pop(job_id, None)
-        if variables.vectorized:
-            self._align_vectorized(problem, matrix)
-            return
-        for job_id in matrix.job_ids:
-            scale = policy.normalized_throughput_scale(problem, matrix, job_id)
-            expression = variables.effective_throughput_expression(job_id)
-            handle = self._constraints.get(job_id)
-            if (
-                handle is not None
-                and self._expressions.get(job_id) is expression
-                and self._scales.get(job_id) == scale
-            ):
-                continue
-            # t <= scale * expr  <=>  t - scale * expr <= 0
-            coefficients = {
-                index: -coefficient * scale
-                for index, coefficient in expression.coefficients.items()
-            }
-            coefficients[self._epigraph.index] = (
-                coefficients.get(self._epigraph.index, 0.0) + 1.0
-            )
-            if handle is None:
-                self._constraints[job_id] = program.add_less_equal(coefficients, 0.0)
-            else:
-                program.set_constraint_coefficients(handle, coefficients)
-            self._scales[job_id] = scale
-            self._expressions[job_id] = expression
-
-    def _align_vectorized(self, problem: PolicyProblem, matrix: ThroughputMatrix) -> None:
-        """Columnar twin of the per-job epigraph alignment (same rows, same order).
-
-        A from-scratch alignment (first solve, or every job changed) emits
-        all ``t <= scale_m * throughput(m, X)`` rows in one columnar call;
-        incremental alignment edits only the jobs whose cached terms or
-        normalization moved.
-        """
-        policy = self._policy
-        program = self._program
-        variables = self._variables
+                self._terms.pop(job_id, None)
         epigraph_index = self._epigraph.index
         if not self._constraints:
             job_ids, starts, cols, vals = variables.effective_throughput_blocks()
@@ -157,7 +115,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
             counts = np.diff(starts)
             coeffs = -vals * np.repeat(scales, counts)
             # Interleave the epigraph term (+1) at the end of each job's
-            # segment, mirroring the dict path's insertion order.
+            # segment.
             total = len(cols)
             epigraph_positions = starts[1:] + np.arange(num_jobs)
             term_mask = np.ones(total + num_jobs, dtype=bool)
@@ -177,7 +135,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
             for position, job_id in enumerate(job_ids.tolist()):
                 self._constraints[job_id] = int(handles[position])
                 self._scales[job_id] = float(scales[position])
-                self._expressions[job_id] = variables.effective_throughput_terms(job_id)
+                self._terms[job_id] = variables.effective_throughput_terms(job_id)
             return
         for job_id in matrix.job_ids:
             scale = policy.normalized_throughput_scale(problem, matrix, job_id)
@@ -185,7 +143,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
             handle = self._constraints.get(job_id)
             if (
                 handle is not None
-                and self._expressions.get(job_id) is terms
+                and self._terms.get(job_id) is terms
                 and self._scales.get(job_id) == scale
             ):
                 continue
@@ -205,7 +163,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
             else:
                 program.set_constraint_coefficients_from_arrays(handle, row_cols, row_vals)
             self._scales[job_id] = float(scale)
-            self._expressions[job_id] = terms
+            self._terms[job_id] = terms
 
     def _solve(self, problem: PolicyProblem) -> Allocation:
         self._prepare(problem)

@@ -593,7 +593,7 @@ class FractionalProgram:
         self._cc_lp.maximize(numerator)
 
     # -- solving -------------------------------------------------------------------
-    def solve(self, warm_start: Optional[np.ndarray] = None) -> FractionalSolution:
+    def solve(self) -> FractionalSolution:
         """Solve via the (persistent) Charnes–Cooper LP and map back."""
         if self._numerator is None or self._denominator is None:
             raise SolverError(f"{self.name}: ratio objective not set")

@@ -41,13 +41,12 @@ The mutation surface is
   is the fast path the policy layer uses to emit validity/objective rows
   straight from throughput-matrix ndarrays (Figure 12 at 2048 jobs).
 
-Problems are handed to :func:`scipy.optimize.linprog` (pure LPs) or
-:func:`scipy.optimize.milp` (when any variable is integer), both of which use
-HiGHS and solve the same programs cvxpy would.  ``solve`` accepts a
-``warm_start`` hint with the previous solution; SciPy's HiGHS interface
-exposes no basis/solution warm starting, so the hint is currently recorded
-but unused — the parameter exists so sessions already thread the information
-a warm-start-capable backend would need.
+Pure LPs are solved on a live HiGHS instance kept per program
+(:class:`_HighsBackend`), which replays only the edits made since the
+previous solve and re-solves from its incumbent basis.  MILPs, and any LP
+whose live backend fails, go through the stateless
+:func:`scipy.optimize.milp` / :func:`scipy.optimize.linprog` calls; all
+paths use HiGHS and solve the same programs cvxpy would.
 """
 
 from __future__ import annotations
@@ -567,7 +566,6 @@ class LinearProgram:
         self._cached_key: Optional[Tuple[int, int]] = None
         self._cached_matrix: Optional[sparse.csr_matrix] = None
         self._cached_ids: List[int] = []
-        self._warm_start_hint: Optional[np.ndarray] = None
         # Edit journal consumed by the live HiGHS backend (warm starts).
         self._backend: Optional[_HighsBackend] = None
         self._hs_removed: Set[int] = set()
@@ -1100,16 +1098,10 @@ class LinearProgram:
         c = self._objective_dense()
         return -c if self._maximize else c
 
-    def solve(self, warm_start: Optional[np.ndarray] = None) -> Solution:
-        """Solve the program, raising on infeasibility or solver failure.
-
-        ``warm_start`` is a previous solution used as a starting hint when the
-        backend supports it (SciPy's HiGHS interface currently does not; the
-        hint is recorded for API parity with warm-start-capable backends).
-        """
+    def solve(self) -> Solution:
+        """Solve the program, raising on infeasibility or solver failure."""
         if self.num_variables() == 0:
             raise SolverError(f"{self.name}: cannot solve a program with no variables")
-        self._warm_start_hint = warm_start
         use_milp = bool(self._integer.any())
 
         if not use_milp and _highs_core is not None:

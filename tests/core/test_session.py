@@ -99,8 +99,12 @@ class TestSessionMatchesScratch:
         for spec in ("max_min_fairness_water_filling", "hierarchical"):
             session = make_policy(spec).session(problem)
             assert isinstance(session, WaterFillingSession)
-        rebuild = make_policy("max_min_fairness_water_filling", incremental=False)
-        assert isinstance(rebuild.session(problem), RebuildSession)
+
+    @pytest.mark.parametrize("spec", ["max_min_fairness_water_filling", "hierarchical"])
+    def test_water_filling_has_no_rebuild_option(self, spec):
+        """The persistent level loop is the only water-filling implementation."""
+        with pytest.raises(ConfigurationError):
+            make_policy(spec, incremental=False)
 
     @pytest.mark.parametrize("spec", ["max_min_fairness+ss", "max_min_fairness_water_filling+ss"])
     def test_estimate_refinement_reaches_session(self, spec, oracle, cluster):

@@ -675,8 +675,13 @@ class TestSessionCorrectnessUnderChurn:
         from repro.core.session import RebuildSession
 
         class ForcedRebuild(WaterFillingFairnessPolicy):
+            # compute_allocation opens self.session(), so the from-scratch
+            # solve RebuildSession calls per round must bypass the override.
             def session(self, problem):
                 return RebuildSession(self, problem)
+
+            def compute_allocation(self, problem):
+                return self.compute_with_diagnostics(problem).allocation
 
         trace = _trace(oracle, num_jobs=10)
         config = SchedulerConfig(mode=mode)
