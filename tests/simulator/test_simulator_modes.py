@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import make_policy
+from repro.core.effective_throughput import effective_throughput
+from repro.core.max_min_fairness import MaxMinFairnessPolicy, MaxMinFairnessSession
 from repro.simulator import Simulator, SimulatorConfig
 from repro.workloads import ThroughputOracle, TraceGenerator
 
@@ -141,3 +143,55 @@ class TestPhysicalMode:
             config=SimulatorConfig(mode="physical", seed=1, checkpoint_overhead_seconds=30.0),
         ).run(trace)
         assert physical.average_jct_hours() >= simulated.average_jct_hours() * 0.95
+
+
+
+class _CheckedSession(MaxMinFairnessSession):
+    """Live LAS session that also solves every snapshot from a fresh program."""
+
+    def _solve(self, problem):
+        allocation = super()._solve(problem)
+        scratch = MaxMinFairnessSession(self._policy, problem).solve(problem)
+        self._policy.checked.append((problem, allocation, scratch))
+        return allocation
+
+
+class _CheckedMaxMinFairness(MaxMinFairnessPolicy):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.checked = []
+
+    def _make_session(self, problem):
+        return _CheckedSession(self, problem)
+
+
+class TestLiveSessionMatchesScratch:
+    @pytest.mark.parametrize("mode", ["round", "ideal", "physical"])
+    def test_every_simulator_solve_matches_a_fresh_program(self, oracle, mode):
+        """The LP kept alive across a run reaches the from-scratch optimum at every solve.
+
+        Degenerate LPs have several optimal vertices, so the two allocations
+        may differ; both must be valid and share the LAS objective value.
+        """
+        trace = TraceGenerator(oracle).generate_continuous(num_jobs=10, jobs_per_hour=8.0, seed=4)
+        spec = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1})
+        policy = _CheckedMaxMinFairness(space_sharing=True)
+        config = SimulatorConfig(mode=mode, round_duration_seconds=360.0)
+        result = Simulator(policy, spec, oracle=oracle, config=config).run(trace)
+        assert result.completion_rate() == 1.0
+        assert len(policy.checked) >= 10
+
+        def objective(problem, allocation):
+            matrix = policy.effective_matrix(problem)
+            return min(
+                effective_throughput(matrix, allocation, job_id)
+                * policy.normalized_throughput_scale(problem, matrix, job_id)
+                for job_id in problem.job_ids
+            )
+
+        for problem, live, scratch in policy.checked:
+            live.validate(problem.cluster_spec)
+            scratch.validate(problem.cluster_spec)
+            assert objective(problem, live) == pytest.approx(
+                objective(problem, scratch), rel=1e-6, abs=1e-12
+            )
